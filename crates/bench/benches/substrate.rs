@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rim_channel::cfr::synthesize_cfr;
 use rim_channel::{ChannelSimulator, SubcarrierLayout};
-use rim_csi::sanitize::{sanitize_linear_phase, sanitize_matched_delay};
+use rim_csi::sanitize::{sanitize_linear_phase, sanitize_matched_delay, sanitize_snapshot};
 use rim_dsp::complex::Complex64;
 use rim_dsp::fft::fft;
 use rim_dsp::geom::Point2;
@@ -33,6 +33,26 @@ fn bench_substrate(c: &mut Criterion) {
         b.iter(|| {
             let mut v = cfr.clone();
             sanitize_matched_delay(&mut v, &indices);
+            v
+        })
+    });
+    // One 3-TX HT40 snapshot: the layout-only search plan is shared by
+    // the three CFRs.
+    let snapshot = sampler.mimo_cfr(Point2::new(0.5, 2.0), 0.0).per_tx;
+    c.bench_function("sanitize_snapshot_ht40", |b| {
+        b.iter(|| {
+            let mut s = snapshot.clone();
+            sanitize_snapshot(&mut s, &indices).unwrap();
+            s
+        })
+    });
+    let wide = ChannelSimulator::open_lab(7).with_layout(SubcarrierLayout::vht80_5ghz());
+    let wide_indices = SubcarrierLayout::vht80_5ghz().indices;
+    let wide_cfr = wide.sampler().cfr(0, Point2::new(0.5, 2.0), 0.0);
+    c.bench_function("sanitize_matched_delay_242sc", |b| {
+        b.iter(|| {
+            let mut v = wide_cfr.clone();
+            sanitize_matched_delay(&mut v, &wide_indices);
             v
         })
     });

@@ -4,7 +4,9 @@
 //! and a Bluestein (chirp-z) fallback for arbitrary lengths, so callers can
 //! transform CSI vectors of any subcarrier count (e.g. the 114 usable
 //! subcarriers of a 40 MHz 802.11n channel) without padding decisions
-//! leaking into the signal path.
+//! leaking into the signal path. The same chirp-z machinery ([`czt`],
+//! [`Czt`]) evaluates a DTFT on any uniform frequency grid, which the CSI
+//! sanitizer uses for its delay search.
 //!
 //! Conventions: `fft` computes `X[k] = Σ_n x[n]·e^{-2πi·kn/N}` (no scaling);
 //! `ifft` applies the `1/N` factor so `ifft(fft(x)) == x`.
@@ -60,38 +62,91 @@ fn fft_pow2_in_place(x: &mut [Complex64], inverse: bool) {
     }
 }
 
-/// Bluestein's algorithm: expresses an arbitrary-length DFT as a
-/// convolution, evaluated with a power-of-two FFT.
+/// A chirp-z transform plan: evaluates the DTFT of an `n`-point input on
+/// `len` equally spaced frequencies,
+///
+/// `X[k] = Σ_m x[m]·e^{-i(start + k·step)·m}`, for `k = 0..len`,
+///
+/// as one power-of-two FFT convolution (Bluestein's identity
+/// `mk = (m² + k² − (k−m)²)/2`). The chirps and the chirp filter's
+/// spectrum depend only on `(n, start, step, len)`, so a plan built once
+/// transforms any number of inputs of that length for two FFTs each.
+#[derive(Debug, Clone)]
+pub struct Czt {
+    /// Input weights `e^{-i·start·m}·w[m]`, `m < n`.
+    pre: Vec<Complex64>,
+    /// Output weights `w[k]/M`, `k < len` (the `1/M` completes the inverse
+    /// FFT).
+    post: Vec<Complex64>,
+    /// FFT of the chirp filter `conj(w[t])`, `t ∈ (−n, len)`, laid out
+    /// circularly over the convolution length `M ≥ n + len − 1`.
+    filter: Vec<Complex64>,
+}
+
+impl Czt {
+    /// Plans a transform of `n`-point inputs onto the frequencies
+    /// `start + k·step` (radians per sample), `k = 0..len`.
+    pub fn new(n: usize, start: f64, step: f64, len: usize) -> Self {
+        let m = (n.max(1) + len - 1).next_power_of_two();
+        // w[t] = e^{-i·step·t²/2}.
+        let chirp: Vec<Complex64> = (0..n.max(len))
+            .map(|t| Complex64::cis(-0.5 * step * (t as f64 * t as f64)))
+            .collect();
+        let pre = (0..n)
+            .map(|t| chirp[t] * Complex64::cis(-start * t as f64))
+            .collect();
+        let post = chirp[..len]
+            .iter()
+            .map(|w| w.scale(1.0 / m as f64))
+            .collect();
+        let mut filter = vec![ZERO; m];
+        for (t, w) in chirp.iter().enumerate().take(len) {
+            filter[t] = w.conj();
+        }
+        for (t, w) in chirp.iter().enumerate().take(n).skip(1) {
+            filter[m - t] = w.conj();
+        }
+        fft_pow2_in_place(&mut filter, false);
+        Czt { pre, post, filter }
+    }
+
+    /// Transforms `x` (of the planned input length) to its `len` outputs.
+    ///
+    /// # Panics
+    /// If `x.len()` differs from the planned input length.
+    pub fn apply(&self, x: &[Complex64]) -> Vec<Complex64> {
+        assert_eq!(x.len(), self.pre.len(), "czt input length");
+        let mut a = vec![ZERO; self.filter.len()];
+        for ((a, &x), &p) in a.iter_mut().zip(x).zip(&self.pre) {
+            *a = x * p;
+        }
+        fft_pow2_in_place(&mut a, false);
+        for (a, &f) in a.iter_mut().zip(&self.filter) {
+            *a *= f;
+        }
+        fft_pow2_in_place(&mut a, true);
+        a.truncate(self.post.len());
+        for (a, &p) in a.iter_mut().zip(&self.post) {
+            *a *= p;
+        }
+        a
+    }
+}
+
+/// Chirp-z transform: `X[k] = Σ_m x[m]·e^{-i(start + k·step)·m}` for
+/// `k = 0..len`, i.e. the DTFT of `x` sampled on an arbitrary uniform
+/// frequency grid, in `O((n + len)·log(n + len))`. Build a [`Czt`] plan
+/// instead when transforming many inputs on the same grid.
+pub fn czt(x: &[Complex64], start: f64, step: f64, len: usize) -> Vec<Complex64> {
+    Czt::new(x.len(), start, step, len).apply(x)
+}
+
+/// Bluestein's algorithm: an arbitrary-length DFT is the chirp-z transform
+/// on the `N` roots of unity (step `2π/N`, or `−2π/N` for the inverse).
 fn bluestein(x: &[Complex64], inverse: bool) -> Vec<Complex64> {
     let n = x.len();
-    let sign = if inverse { 1.0 } else { -1.0 };
-    // chirp[k] = e^{sign·πi·k²/n}; use k² mod 2n to keep the angle bounded.
-    let chirp: Vec<Complex64> = (0..n)
-        .map(|k| {
-            let k2 = (k as u128 * k as u128 % (2 * n as u128)) as f64;
-            Complex64::cis(sign * std::f64::consts::PI * k2 / n as f64)
-        })
-        .collect();
-
-    let m = (2 * n - 1).next_power_of_two();
-    let mut a = vec![ZERO; m];
-    let mut b = vec![ZERO; m];
-    for k in 0..n {
-        a[k] = x[k] * chirp[k];
-        b[k] = chirp[k].conj();
-    }
-    // b is symmetric: b[m - k] = b[k] for k = 1..n.
-    for k in 1..n {
-        b[m - k] = chirp[k].conj();
-    }
-    fft_pow2_in_place(&mut a, false);
-    fft_pow2_in_place(&mut b, false);
-    for (ai, bi) in a.iter_mut().zip(&b) {
-        *ai *= *bi;
-    }
-    fft_pow2_in_place(&mut a, true);
-    let scale = 1.0 / m as f64;
-    (0..n).map(|k| a[k] * chirp[k] * scale).collect()
+    let step = std::f64::consts::TAU / n as f64;
+    czt(x, 0.0, if inverse { -step } else { step }, n)
 }
 
 /// Forward DFT of arbitrary length.
@@ -267,6 +322,71 @@ mod tests {
         let cfr = ramp(114);
         let cir = cfr_to_cir(&cfr);
         assert_vec_close(&cir_to_cfr(&cir), &cfr, 1e-9);
+    }
+
+    /// `Σ_m x[m]·e^{-i(start + k·step)·m}` summed directly.
+    fn czt_naive(x: &[Complex64], start: f64, step: f64, len: usize) -> Vec<Complex64> {
+        (0..len)
+            .map(|k| {
+                let w = start + k as f64 * step;
+                x.iter()
+                    .enumerate()
+                    .fold(ZERO, |acc, (m, &v)| acc + v * Complex64::cis(-w * m as f64))
+            })
+            .collect()
+    }
+
+    fn l1(x: &[Complex64]) -> f64 {
+        x.iter().map(|v| v.abs()).sum()
+    }
+
+    #[test]
+    fn czt_on_rational_grids_is_a_slice_of_the_padded_dft() {
+        // start = 2πa/P, step = 2πb/P samples DFT_P(x zero-padded to P) at
+        // bins a + k·b (mod P).
+        let tau = std::f64::consts::TAU;
+        for &(n, p, a, b, len) in &[
+            (1usize, 1usize, 0usize, 1usize, 1usize),
+            (1, 5, 2, 1, 3),
+            (3, 3, 0, 1, 3),
+            (7, 16, 5, 3, 1),
+            (7, 16, 5, 3, 11),
+            (57, 64, 60, 1, 30),
+            (114, 114, 0, 1, 114),
+            (117, 256, 200, 1, 121),
+        ] {
+            let x = ramp(n);
+            let mut padded = x.clone();
+            padded.resize(p, ZERO);
+            let dft = dft_naive(&padded);
+            let want: Vec<Complex64> = (0..len).map(|k| dft[(a + k * b) % p]).collect();
+            let got = czt(
+                &x,
+                tau * a as f64 / p as f64,
+                tau * b as f64 / p as f64,
+                len,
+            );
+            assert_vec_close(&got, &want, 1e-12 * l1(&x).max(1.0));
+        }
+    }
+
+    #[test]
+    fn czt_matches_direct_sum_on_arbitrary_grids() {
+        for &(n, start, step, len) in &[
+            (1usize, 0.3, 0.1, 1usize),
+            (1, -2.0, 0.7, 5),
+            (5, 1.234, 0.0, 1),
+            (6, -0.8, 0.02, 81),
+            (30, 1.1, -0.2, 3),
+            (117, -0.8124, 0.013_54, 121),
+            (245, -0.804_6, 0.006_437, 251),
+        ] {
+            let x = ramp(n);
+            let got = czt(&x, start, step, len);
+            assert_vec_close(&got, &czt_naive(&x, start, step, len), 1e-12 * l1(&x));
+        }
+        assert!(czt(&ramp(4), 0.1, 0.2, 0).is_empty());
+        assert_eq!(czt(&[], 0.1, 0.2, 3), vec![ZERO; 3]);
     }
 
     #[test]
